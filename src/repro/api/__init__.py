@@ -1,7 +1,6 @@
 """repro.api — the declarative session / scenario / design / campaign front door.
 
-Replaces the hard-coded ``prepare_design() -> run_experiment("a".."e")``
-flow with four pieces:
+Four pieces drive every experiment:
 
 * :class:`~repro.api.scenario.ScenarioSpec` and the scenario registry —
   named, declarative test-generation configurations (the paper's (a)–(e)

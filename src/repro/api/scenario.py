@@ -1,11 +1,9 @@
 """Declarative scenario specifications and the scenario registry.
 
-A :class:`ScenarioSpec` captures everything the legacy
-``repro.core.experiments.experiment_setup`` hand-coded per experiment key —
+A :class:`ScenarioSpec` captures one experiment's constraint environment —
 fault model, capture-procedure factory, output observability, input holding,
 pin constraints, ATPG options — plus the post-ATPG stage knobs (static
-compaction, EDT compression, pattern export) the old ``if/elif`` ladder could
-not express at all.
+compaction, EDT compression, pattern export).
 
 Scenarios are *named executable configurations*: registering one makes it
 runnable by name through :class:`repro.api.session.TestSession` without any
@@ -130,8 +128,9 @@ class ScenarioSpec:
     ) -> TestSetup:
         """Materialize the constraint environment against a prepared design.
 
-        Field-for-field equivalent to what the legacy ``experiment_setup``
-        produced for the built-in (a)–(e) scenarios.
+        For the built-in (a)–(e) scenarios this is the setup of the paper's
+        Section 5.1 experiments (pinned field by field in
+        ``tests/test_api_scenario.py``).
         """
         constraints: dict[str, Logic] = {}
         if self.constrain_reset:

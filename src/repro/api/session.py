@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -837,10 +836,9 @@ class TestSession:
 
     def run(
         self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        backend: str | None = None,
         *,
+        backend: str | None = None,
+        max_workers: int | None = None,
         executor: "Executor | None" = None,
         on_event: "Callable | None" = None,
     ) -> RunReport:
@@ -852,14 +850,11 @@ class TestSession:
         measurements differ).
 
         Args:
-            parallel: Deprecated — pass ``backend="threads"`` (or an
-                executor) instead.  Kept as a shim that compiles to the same
-                plan and emits a :class:`DeprecationWarning`.
+            backend: Plan fan-out backend — ``"serial"`` (default),
+                ``"threads"`` or ``"processes"`` (each scenario runs in its
+                own interpreter through the engine's process backend, so the
+                fan-out is not GIL-bound).
             max_workers: Worker-pool size for the pooled backends.
-            backend: Plan fan-out backend — ``"serial"``, ``"threads"`` or
-                ``"processes"`` (each scenario runs in its own interpreter
-                through the engine's process backend, so the fan-out is not
-                GIL-bound).
             executor: A fully configured :class:`~repro.runtime.Executor`
                 to run the plan on (mutually exclusive with the sizing
                 knobs above).
@@ -867,27 +862,14 @@ class TestSession:
                 (``job_started`` / ``job_finished`` / ``job_skipped`` /
                 ``plan_progress``).
         """
-        # Validate before deprecating: bad arguments must surface as the
-        # documented ValueError even under warnings-as-errors.
-        if executor is not None and (parallel or backend is not None or max_workers is not None):
-            raise ValueError(
-                "pass either executor= or the parallel/backend/max_workers knobs"
-            )
+        if executor is not None and (backend is not None or max_workers is not None):
+            raise ValueError("pass either executor= or the backend/max_workers knobs")
         if backend is not None and backend not in RUN_BACKENDS:
             raise ValueError(
                 f"unknown run backend {backend!r} (expected one of {RUN_BACKENDS})"
             )
-        if parallel:
-            warnings.warn(
-                "TestSession.run(parallel=True) is deprecated; use "
-                "run(backend='threads') or run(executor=Executor(backend='threads'))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if executor is None:
-            if backend is None:
-                backend = "threads" if parallel else "serial"
-            executor = Executor(backend=backend, max_workers=max_workers)
+            executor = Executor(backend=backend or "serial", max_workers=max_workers)
         specs = list(self._scenarios)
         plan = self.plan()
         cached = executor.effective_cache(self._cache) is not None

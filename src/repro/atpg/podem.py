@@ -14,7 +14,9 @@ the delay-test semantics of the paper:
   uninitialized sequential elements under a restricted clocking scheme.
 
 Values are tracked as separate good/faulty 3-valued integers (0, 1, 2=X) for
-speed; the public result converts back to :class:`~repro.logic.Logic`.
+speed and evaluated through the one dual-rail gate semantics
+(:func:`~repro.simulation.parallel_sim.plane_evaluator`) on 1-bit planes; the
+public result converts back to :class:`~repro.logic.Logic`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.faults.models import StuckAtFault
 from repro.netlist.gates import GateType
 from repro.simulation.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
+from repro.simulation.parallel_sim import plane_evaluator
 
 _X = 2
 
@@ -44,58 +47,12 @@ def _int_to_logic(value: int) -> Logic:
     return (Logic.ZERO, Logic.ONE, Logic.X)[value]
 
 
-def _eval_gate_int(gtype: GateType, values: Sequence[int]) -> int:
-    """3-valued gate evaluation over integers 0/1/2(X)."""
-    if gtype is GateType.BUF:
-        return values[0]
-    if gtype is GateType.NOT:
-        v = values[0]
-        return v if v == _X else 1 - v
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        out = 1
-        for v in values:
-            if v == 0:
-                out = 0
-                break
-            if v == _X:
-                out = _X
-        if gtype is GateType.NAND and out != _X:
-            out = 1 - out
-        return out
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        out = 0
-        for v in values:
-            if v == 1:
-                out = 1
-                break
-            if v == _X:
-                out = _X
-        if gtype is GateType.NOR and out != _X:
-            out = 1 - out
-        return out
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        out = 0
-        for v in values:
-            if v == _X:
-                return _X
-            out ^= v
-        if gtype is GateType.XNOR:
-            out = 1 - out
-        return out
-    if gtype is GateType.MUX2:
-        sel, a, b = values
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a == b and a != _X:
-            return a
-        return _X
-    if gtype is GateType.TIE0:
-        return 0
-    if gtype is GateType.TIE1:
-        return 1
-    raise ValueError(f"unsupported gate type {gtype!r}")
+#: Gates evaluate through the shared dual-rail semantics on 1-bit planes:
+#: 0 -> (can0=1, can1=0), 1 -> (0, 1), X -> (1, 1), indexed by value.
+_CAN0 = (1, 0, 1)
+_CAN1 = (0, 1, 1)
+#: Back from planes to 0/1/X, indexed by ``can0 | can1 << 1``.
+_DECODE = (_X, 0, 1, _X)
 
 
 class PodemStatus(str, Enum):
@@ -145,6 +102,11 @@ class PodemEngine:
 
         self._nodes = model.nodes
         self._num = model.num_nodes
+        self._evaluators = [
+            plane_evaluator(node.gtype, len(node.fanin))
+            if node.kind is NodeKind.GATE else None
+            for node in model.nodes
+        ]
         self._obs_set = set(self.observation)
         self._obs_reachable = self._compute_obs_reachable()
         self._cone_cache: dict[int, list[int]] = {}
@@ -269,13 +231,20 @@ class PodemEngine:
             good = faulty = self._source_value(idx)
         else:
             fanin = node.fanin
-            good = _eval_gate_int(node.gtype, [self._good[i] for i in fanin])
+            evaluate = self._evaluators[idx]
+            values = self._good
+            out0, out1 = evaluate(
+                [_CAN0[values[i]] for i in fanin], [_CAN1[values[i]] for i in fanin]
+            )
+            good = _DECODE[out0 | out1 << 1]
+            values = self._faulty
+            in0 = [_CAN0[values[i]] for i in fanin]
+            in1 = [_CAN1[values[i]] for i in fanin]
             if self._fault_pin is not None and idx == self._fault_node:
-                fvals = [self._faulty[i] for i in fanin]
-                fvals[self._fault_pin] = self._stuck
-                faulty = _eval_gate_int(node.gtype, fvals)
-            else:
-                faulty = _eval_gate_int(node.gtype, [self._faulty[i] for i in fanin])
+                in0[self._fault_pin] = _CAN0[self._stuck]
+                in1[self._fault_pin] = _CAN1[self._stuck]
+            out0, out1 = evaluate(in0, in1)
+            faulty = _DECODE[out0 | out1 << 1]
         if idx == self._fault_node and self._fault_pin is None:
             faulty = self._stuck
         self._good[idx] = good

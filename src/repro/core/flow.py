@@ -1,7 +1,6 @@
-"""End-to-end delay-test flow: design preparation, CPF instrumentation, ATPG.
+"""Design preparation and CPF instrumentation for the delay-test flow.
 
-This is the top of the library — the pieces a user calls to go from a
-netlist to Table 1 style results:
+The pieces that turn a netlist into the views Table 1 experiments run on:
 
 * :func:`prepare_design` builds (or accepts) the device under test, inserts
   scan, computes the flattened circuit model and the clock-domain map — the
@@ -12,19 +11,17 @@ netlist to Table 1 style results:
 * :func:`instrument_soc` produces the physical top level of Figure 1: the
   same netlist with one CPF per functional clock domain stitched between the
   PLL outputs and the domain clock trees (used for structural reporting and
-  for the gate-level clocking demonstrations, not for fault counting);
-* :class:`DelayTestFlow` bundles a prepared design with the experiment
-  runner and report formatting used by the examples and benchmarks.
+  for the gate-level clocking demonstrations, not for fault counting).
+
+Experiments run through :class:`repro.api.TestSession` and
+:class:`repro.api.Campaign` over the registered ``table1-*`` scenarios.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from repro.atpg.config import AtpgOptions
-from repro.atpg.generator import AtpgResult
 from repro.circuits.soc import SocDesign
 from repro.clocking.cpf import InsertedCpf, insert_cpf
 from repro.clocking.domains import ClockDomainMap
@@ -164,61 +161,3 @@ def instrument_soc(
     result = (top, inserted)
     prepared._instrument_cache[bool(enhanced)] = result
     return result
-
-
-class DelayTestFlow:
-    """Convenience wrapper tying design preparation to the experiment runner.
-
-    .. deprecated::
-        Thin shim kept for backwards compatibility; new code should use
-        :class:`repro.api.session.TestSession` with the registered
-        ``table1-*`` scenarios, which this class delegates to.
-    """
-
-    def __init__(
-        self,
-        size: int = 2,
-        seed: int = 2005,
-        num_chains: int = 6,
-        options: AtpgOptions | None = None,
-        soc: SocDesign | None = None,
-    ) -> None:
-        warnings.warn(
-            "DelayTestFlow is deprecated; use repro.api.TestSession with the "
-            "registered 'table1-*' scenarios (or repro.api.Campaign for "
-            "design x scenario sweeps) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.session import TestSession
-
-        self._session = TestSession(
-            size=size, seed=seed, num_chains=num_chains, options=options, soc=soc
-        )
-        self.prepared = self._session.prepared
-        self.options = self._session.options
-        self.results: dict[str, AtpgResult] = {}
-
-    def run_experiment(self, key: str) -> AtpgResult:
-        """Run one of the paper's experiments ("a".."e") and cache its result."""
-        from repro.api.scenarios import table1_scenario
-
-        key = key.lower()
-        spec = table1_scenario(key)
-        self._session.run_scenario(spec)
-        result = self._session.result_of(spec.name)
-        self.results[key] = result
-        return result
-
-    def run_all(self, keys: Sequence[str] = ("a", "b", "c", "d", "e")) -> dict[str, AtpgResult]:
-        """Run (or reuse cached) experiments; returns only the requested keys."""
-        for key in keys:
-            if key.lower() not in self.results:
-                self.run_experiment(key)
-        return {key: self.results[key.lower()] for key in keys}
-
-    def table1(self) -> str:
-        """Format the cached results as the Table 1 reproduction."""
-        from repro.core.results import format_table1
-
-        return format_table1(self.results)

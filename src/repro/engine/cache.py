@@ -14,15 +14,16 @@ disk keyed by a SHA-256 over *content*, never over identity:
 * the **engine version** (:data:`~repro.engine.compile.ENGINE_VERSION`), so
   kernel-semantics changes invalidate everything at once.
 
-Entries are a pickle payload plus a small JSON sidecar for inspection; the
-cache root defaults to ``~/.cache/repro-engine`` and can be moved with the
-``REPRO_ENGINE_CACHE`` environment variable.  Corrupt or unpicklable entries
-degrade to cache misses — the cache is an accelerator, never a correctness
-dependency.
+Entries are a digest-prefixed pickle payload plus a small JSON sidecar for
+inspection; the cache root defaults to ``~/.cache/repro-engine`` and can be
+moved with the ``REPRO_ENGINE_CACHE`` environment variable.  Corrupt,
+truncated or unpicklable entries degrade to cache misses — the cache is an
+accelerator, never a correctness dependency.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -30,6 +31,7 @@ import json
 import os
 import pickle
 import re
+import tempfile
 import time
 from pathlib import Path
 from typing import Any
@@ -40,6 +42,9 @@ from repro.simulation.model import CircuitModel
 
 #: Environment variable overriding the cache root directory.
 CACHE_ENV_VAR = "REPRO_ENGINE_CACHE"
+
+#: Size of the SHA-256 header that precedes the pickle in a payload file.
+_DIGEST_BYTES = 32
 
 
 def default_cache_root() -> Path:
@@ -405,13 +410,22 @@ class ResultCache:
 
     # ------------------------------------------------------------------- I/O
     def get(self, key: str) -> Any | None:
-        """Load a cached payload; any failure reads as a miss."""
+        """Load a cached payload; any failure reads as a miss.
+
+        The payload file is a SHA-256 of the pickle followed by the pickle;
+        an entry whose bytes do not match their digest (a flipped bit, a
+        truncated write) is never unpickled.
+        """
         payload_path, _ = self._entry_paths(key)
         try:
-            with payload_path.open("rb") as handle:
-                data = handle.read()
-            value = pickle.loads(data)
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
+            data = payload_path.read_bytes()
+            body = memoryview(data)[_DIGEST_BYTES:]
+            if hashlib.sha256(body).digest() != data[:_DIGEST_BYTES]:
+                raise ValueError("payload does not match its digest")
+            value = pickle.loads(body)
+        except Exception:
+            # The cache is an accelerator: an unreadable entry, or one whose
+            # verified pickle no longer loads against this code, is a miss.
             self._count("misses")
             return None
         self._count("hits")
@@ -422,14 +436,20 @@ class ResultCache:
         """Store a payload; returns False when it cannot be pickled/written."""
         payload_path, meta_path = self._entry_paths(key)
         try:
-            data = pickle.dumps(payload)
+            body = pickle.dumps(payload)
         except (pickle.PickleError, TypeError, AttributeError):
             return False
+        tmp = None
         try:
             payload_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = payload_path.with_suffix(".tmp")
-            tmp.write_bytes(data)
+            # A private temp file per writer: concurrent puts of one key
+            # never interleave bytes, and the last rename wins whole.
+            fd, tmp = tempfile.mkstemp(dir=payload_path.parent, prefix=key, suffix=".tmp")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(hashlib.sha256(body).digest())
+                handle.write(body)
             os.replace(tmp, payload_path)
+            tmp = None
             meta_path.write_text(
                 json.dumps(
                     {
@@ -437,7 +457,7 @@ class ResultCache:
                         "label": label,
                         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
                         "engine_version": ENGINE_VERSION,
-                        "bytes": len(data),
+                        "bytes": _DIGEST_BYTES + len(body),
                     },
                     indent=2,
                 )
@@ -445,8 +465,12 @@ class ResultCache:
             )
         except OSError:
             return False
+        finally:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
         self._count("stores")
-        self._count("bytes_written", len(data))
+        self._count("bytes_written", _DIGEST_BYTES + len(body))
         return True
 
     # ------------------------------------------------------------- management

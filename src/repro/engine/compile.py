@@ -3,7 +3,7 @@
 The interpreted simulators (:mod:`repro.simulation.parallel_sim`,
 :mod:`repro.fault_sim.stuck_at`) pay three per-call costs on the hot path:
 
-* gate-type dispatch through an ``if``-ladder for every gate evaluation,
+* an evaluator lookup (and input list building) for every gate evaluation,
 * a fresh depth-first ``transitive_fanout`` walk (plus sort) for every
   injected fault, and
 * attribute/dict walks over :class:`~repro.simulation.model.Node` records.
@@ -15,8 +15,9 @@ The interpreted simulators (:mod:`repro.simulation.parallel_sim`,
   topological order, each writing its dual-rail planes straight into the
   batch arrays (common 1-2 input gates are arity-specialized so the inner
   loop does no list building at all);
-* per-node **plane evaluators** — ``fn(in0, in1) -> (out0, out1)`` closures
-  used for fault injection and cone propagation;
+* per-node **plane evaluators** — the shared
+  :func:`~repro.simulation.parallel_sim.plane_evaluator` closures, used for
+  fault injection and cone propagation;
 * cached **fanout cones** — for every fault site the level-ordered list of
   ``(index, fanin, evaluator)`` triples its effect can reach, computed once
   and reused by every pattern batch.
@@ -36,73 +37,13 @@ import threading
 from typing import Callable, Sequence
 
 from repro.faults.models import StuckAtFault, TransitionFault
-from repro.netlist.gates import GateType
 from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
-from repro.simulation.parallel_sim import PackedPatterns
+from repro.simulation.parallel_sim import PackedPatterns, PlaneEvaluator, plane_evaluator
 
 #: Version tag of the compiled-kernel semantics; part of every persistent
 #: cache key so stale results are invalidated when the kernels change.
 ENGINE_VERSION = "1"
-
-#: ``fn(in0, in1) -> (out0, out1)`` over dual-rail planes, pin order as in
-#: ``Node.fanin``.
-PlaneEvaluator = Callable[[Sequence[int], Sequence[int]], tuple[int, int]]
-
-
-def _plane_evaluator(gtype: GateType, arity: int) -> PlaneEvaluator:
-    """Build a gate-type (and arity) specialized plane evaluator."""
-    if gtype is GateType.BUF:
-        return lambda in0, in1: (in0[0], in1[0])
-    if gtype is GateType.NOT:
-        return lambda in0, in1: (in1[0], in0[0])
-    if gtype in (GateType.AND, GateType.NAND):
-        invert = gtype is GateType.NAND
-        if arity == 2:
-            if invert:
-                return lambda in0, in1: (in1[0] & in1[1], in0[0] | in0[1])
-            return lambda in0, in1: (in0[0] | in0[1], in1[0] & in1[1])
-
-        def eval_and(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
-            out0, out1 = in0[0], in1[0]
-            for a0, a1 in zip(in0[1:], in1[1:]):
-                out0 |= a0
-                out1 &= a1
-            return (out1, out0) if invert else (out0, out1)
-
-        return eval_and
-    if gtype in (GateType.OR, GateType.NOR):
-        invert = gtype is GateType.NOR
-        if arity == 2:
-            if invert:
-                return lambda in0, in1: (in1[0] | in1[1], in0[0] & in0[1])
-            return lambda in0, in1: (in0[0] & in0[1], in1[0] | in1[1])
-
-        def eval_or(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
-            out0, out1 = in0[0], in1[0]
-            for a0, a1 in zip(in0[1:], in1[1:]):
-                out0 &= a0
-                out1 |= a1
-            return (out1, out0) if invert else (out0, out1)
-
-        return eval_or
-    if gtype in (GateType.XOR, GateType.XNOR):
-        invert = gtype is GateType.XNOR
-
-        def eval_xor(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
-            out0, out1 = in0[0], in1[0]
-            for b0, b1 in zip(in0[1:], in1[1:]):
-                out0, out1 = (out0 & b0) | (out1 & b1), (out0 & b1) | (out1 & b0)
-            return (out1, out0) if invert else (out0, out1)
-
-        return eval_xor
-    if gtype is GateType.MUX2:
-        return lambda in0, in1: (
-            (in0[0] & in0[1]) | (in1[0] & in0[2]),
-            (in0[0] & in1[1]) | (in1[0] & in1[2]),
-        )
-    raise ValueError(f"unsupported compiled gate type {gtype!r}")
-
 
 #: One simulation-tape instruction: writes a node's planes into the batch
 #: arrays in place.  ``op(can0, can1, full_mask)``.
@@ -185,7 +126,7 @@ class CompiledCircuit:
             self._fanin[node.index] = node.fanin
             if node.kind is NodeKind.GATE:
                 assert node.gtype is not None
-                evaluator = _plane_evaluator(node.gtype, len(node.fanin))
+                evaluator = plane_evaluator(node.gtype, len(node.fanin))
                 self._evaluators[node.index] = evaluator
                 tape.append(_tape_op(node.kind, node.index, node.fanin, evaluator))
             elif node.kind in (NodeKind.CONST0, NodeKind.CONST1):

@@ -27,9 +27,9 @@ from repro.simulation.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 from repro.simulation.parallel_sim import (
     PackedPatterns,
-    eval_gate_planes,
     mask_to_indices,
     pack_patterns,
+    plane_evaluator,
 )
 
 
@@ -59,7 +59,7 @@ def _propagate_planes(
         in1 = [good.can1[i] for i in node.fanin]
         in0[site.pin] = stuck0
         in1[site.pin] = stuck1
-        out0, out1 = eval_gate_planes(node.gtype, in0, in1, full)
+        out0, out1 = plane_evaluator(node.gtype, len(node.fanin))(in0, in1)
         faulty0[start] = out0
         faulty1[start] = out1
 
@@ -72,7 +72,7 @@ def _propagate_planes(
             continue
         in0 = [faulty0.get(i, good.can0[i]) for i in node.fanin]
         in1 = [faulty1.get(i, good.can1[i]) for i in node.fanin]
-        out0, out1 = eval_gate_planes(node.gtype, in0, in1, full)
+        out0, out1 = plane_evaluator(node.gtype, len(node.fanin))(in0, in1)
         if out0 == good.can0[idx] and out1 == good.can1[idx]:
             continue
         faulty0[idx] = out0

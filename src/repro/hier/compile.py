@@ -52,18 +52,12 @@ import threading
 from collections import defaultdict
 from typing import Sequence
 
-from repro.engine.compile import (
-    CompiledCircuit,
-    PlaneEvaluator,
-    _plane_evaluator,
-    _tape_op,
-)
+from repro.engine.compile import CompiledCircuit, _tape_op
 from repro.faults.models import StuckAtFault
-from repro.netlist.gates import GateType
 from repro.netlist.netlist import DesignHierarchy
 from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
-from repro.simulation.parallel_sim import PackedPatterns
+from repro.simulation.parallel_sim import PackedPatterns, PlaneEvaluator, plane_evaluator
 
 
 # --------------------------------------------------------------------------
@@ -238,17 +232,6 @@ class HierCompiledCircuit(CompiledCircuit):
 
         nodes = model.nodes
         sep = DesignHierarchy.SEPARATOR
-        # Shared plane evaluators: ~|gate types| x |arities| distinct
-        # closures for the whole design instead of one per gate.
-        eval_cache: dict[tuple[GateType, int], PlaneEvaluator] = {}
-
-        def evaluator_for(gtype: GateType, arity: int) -> PlaneEvaluator:
-            key = (gtype, arity)
-            shared = eval_cache.get(key)
-            if shared is None:
-                shared = eval_cache[key] = _plane_evaluator(gtype, arity)
-            return shared
-
         # ---- membership: gate nodes grouped by declared instance prefix.
         # Cell names are ``{instance}{sep}{local}``, so membership is a dict
         # lookup on the name's separator split points — not a scan over
@@ -263,7 +246,7 @@ class HierCompiledCircuit(CompiledCircuit):
                 continue
             self._fanin[node.index] = node.fanin
             assert node.gtype is not None
-            self._evaluators[node.index] = evaluator_for(node.gtype, len(node.fanin))
+            self._evaluators[node.index] = plane_evaluator(node.gtype, len(node.fanin))
             name = node.instance or ""
             pos = name.find(sep)
             while pos != -1:
@@ -311,7 +294,7 @@ class HierCompiledCircuit(CompiledCircuit):
                         (
                             position,
                             tuple(canonical.local_of[src] for src in nodes[idx].fanin),
-                            evaluator_for(
+                            plane_evaluator(
                                 nodes[idx].gtype, len(nodes[idx].fanin)  # type: ignore[arg-type]
                             ),
                             len(nodes[idx].fanin),

@@ -5,20 +5,6 @@ The implementation lives in the top-level :mod:`repro.logic` module so that
 (which itself depends on the netlist package).
 """
 
-from repro.logic import (
-    DValue,
-    Logic,
-    dvalue_and,
-    dvalue_not,
-    dvalue_or,
-    dvalue_xor,
-)
+from repro.logic import Logic
 
-__all__ = [
-    "DValue",
-    "Logic",
-    "dvalue_and",
-    "dvalue_not",
-    "dvalue_or",
-    "dvalue_xor",
-]
+__all__ = ["Logic"]

@@ -19,8 +19,9 @@ pattern batch regardless of its size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.netlist.gates import GateType
 from repro.simulation.logic import Logic
@@ -105,51 +106,78 @@ def simulate_packed(model: CircuitModel, packed: PackedPatterns) -> PackedPatter
         elif kind is NodeKind.CONST1:
             can0[idx], can1[idx] = 0, full
         elif kind is NodeKind.GATE:
-            out0, out1 = eval_gate_planes(
-                node.gtype,
-                [can0[i] for i in node.fanin],
-                [can1[i] for i in node.fanin],
-                full,
+            evaluate = plane_evaluator(node.gtype, len(node.fanin))
+            can0[idx], can1[idx] = evaluate(
+                [can0[i] for i in node.fanin], [can1[i] for i in node.fanin]
             )
-            can0[idx], can1[idx] = out0, out1
     return packed
 
 
-def eval_gate_planes(
-    gtype: GateType, in0: Sequence[int], in1: Sequence[int], full: int
-) -> tuple[int, int]:
-    """Evaluate one primitive gate over dual-rail integer planes."""
+#: ``fn(in0, in1) -> (out0, out1)`` over dual-rail planes, pin order as in
+#: ``Node.fanin``.
+PlaneEvaluator = Callable[[Sequence[int], Sequence[int]], tuple[int, int]]
+
+
+@functools.cache
+def plane_evaluator(gtype: GateType, arity: int) -> PlaneEvaluator:
+    """The dual-rail evaluator of one gate type at one arity (memoised).
+
+    This is the one fast gate semantics: the compiled kernels, the
+    interpreted simulators and PODEM's 3-valued implication all evaluate
+    gates through it.  Common 2-input AND/OR gates get specialized closures
+    so the inner loop builds no slices.  TIE cells never reach it: the
+    circuit model lowers them to ``CONST0``/``CONST1`` nodes.
+    """
     if gtype is GateType.BUF:
-        return in0[0], in1[0]
+        return lambda in0, in1: (in0[0], in1[0])
     if gtype is GateType.NOT:
-        return in1[0], in0[0]
+        return lambda in0, in1: (in1[0], in0[0])
     if gtype in (GateType.AND, GateType.NAND):
-        out0, out1 = in0[0], in1[0]
-        for a0, a1 in zip(in0[1:], in1[1:]):
-            out0 |= a0
-            out1 &= a1
-        return (out1, out0) if gtype is GateType.NAND else (out0, out1)
+        invert = gtype is GateType.NAND
+        if arity == 2:
+            if invert:
+                return lambda in0, in1: (in1[0] & in1[1], in0[0] | in0[1])
+            return lambda in0, in1: (in0[0] | in0[1], in1[0] & in1[1])
+
+        def eval_and(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
+            out0, out1 = in0[0], in1[0]
+            for a0, a1 in zip(in0[1:], in1[1:]):
+                out0 |= a0
+                out1 &= a1
+            return (out1, out0) if invert else (out0, out1)
+
+        return eval_and
     if gtype in (GateType.OR, GateType.NOR):
-        out0, out1 = in0[0], in1[0]
-        for a0, a1 in zip(in0[1:], in1[1:]):
-            out0 &= a0
-            out1 |= a1
-        return (out1, out0) if gtype is GateType.NOR else (out0, out1)
+        invert = gtype is GateType.NOR
+        if arity == 2:
+            if invert:
+                return lambda in0, in1: (in1[0] | in1[1], in0[0] & in0[1])
+            return lambda in0, in1: (in0[0] & in0[1], in1[0] | in1[1])
+
+        def eval_or(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
+            out0, out1 = in0[0], in1[0]
+            for a0, a1 in zip(in0[1:], in1[1:]):
+                out0 &= a0
+                out1 |= a1
+            return (out1, out0) if invert else (out0, out1)
+
+        return eval_or
     if gtype in (GateType.XOR, GateType.XNOR):
-        out0, out1 = in0[0], in1[0]
-        for b0, b1 in zip(in0[1:], in1[1:]):
-            out0, out1 = (out0 & b0) | (out1 & b1), (out0 & b1) | (out1 & b0)
-        return (out1, out0) if gtype is GateType.XNOR else (out0, out1)
+        invert = gtype is GateType.XNOR
+
+        def eval_xor(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
+            out0, out1 = in0[0], in1[0]
+            for b0, b1 in zip(in0[1:], in1[1:]):
+                out0, out1 = (out0 & b0) | (out1 & b1), (out0 & b1) | (out1 & b0)
+            return (out1, out0) if invert else (out0, out1)
+
+        return eval_xor
     if gtype is GateType.MUX2:
-        s0, s1 = in0[0], in1[0]
-        a0, a1 = in0[1], in1[1]
-        b0, b1 = in0[2], in1[2]
-        return (s0 & a0) | (s1 & b0), (s0 & a1) | (s1 & b1)
-    if gtype is GateType.TIE0:
-        return full, 0
-    if gtype is GateType.TIE1:
-        return 0, full
-    raise ValueError(f"unsupported packed gate type {gtype!r}")
+        return lambda in0, in1: (
+            (in0[0] & in0[1]) | (in1[0] & in0[2]),
+            (in0[0] & in1[1]) | (in1[0] & in1[2]),
+        )
+    raise ValueError(f"unsupported plane gate type {gtype!r}")
 
 
 def unpack_value(packed: PackedPatterns, node_index: int, pattern_index: int) -> Logic:

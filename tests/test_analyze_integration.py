@@ -1,6 +1,6 @@
 """Front-door integration of repro.analyze: TestSession.lint, the design
 pipeline's spliceable lint stage, the campaign pre-flight gate, plan
-linting, and the validate_netlist deprecation shim's report conversion."""
+linting."""
 
 from __future__ import annotations
 

@@ -1,7 +1,4 @@
-"""Tests for Campaign, CampaignReport, per-cell caching/resume, and the
-legacy run_all_experiments routing."""
-
-import warnings
+"""Tests for Campaign, CampaignReport and per-cell caching/resume."""
 
 import pytest
 
@@ -12,7 +9,8 @@ from repro.api import (
     resolve_campaign_scenario,
 )
 from repro.atpg import AtpgOptions
-from repro.core import DelayTestFlow, run_all_experiments
+from repro.core import format_table1
+from repro.diagnose import DefectSpec
 from repro.engine import ResultCache
 from repro.runtime import Executor
 
@@ -62,7 +60,9 @@ class TestCampaignBuilder:
     def test_unknown_backend_rejected(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
         with pytest.raises(ValueError, match="unknown campaign backend"):
-            campaign.run(backend="gpu")
+            campaign.diagnose([], backend="gpu")
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            campaign.run(executor=Executor(backend="gpu"))
 
 
 class TestCampaignResults:
@@ -118,21 +118,22 @@ class TestCampaignResults:
 
 class TestTable1ByteCompatibility:
     def test_campaign_table_matches_legacy_flow(self, fast_options):
-        """One campaign row == the deprecated DelayTestFlow, byte for byte.
+        """One campaign row == the golden ``format_table1`` table, byte for byte.
 
-        The ``tiny`` registered design is the same device as
-        ``DelayTestFlow(size=1, seed=2005, num_chains=4)``; running the five
+        The ``tiny`` registered design is the same device as an ad-hoc
+        ``TestSession(size=1, seed=2005, num_chains=4)``; running the five
         paper scenarios over it through the campaign grid must reproduce the
-        legacy table exactly (this mirrors the table1-soc acceptance check
-        at unit-test scale).
+        table of one-at-a-time session runs exactly (this mirrors the
+        table1-soc acceptance check at unit-test scale).
         """
         report = Campaign(["tiny"], ["a", "b", "c", "d", "e"],
                           options=fast_options).run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flow = DelayTestFlow(size=1, seed=2005, num_chains=4, options=fast_options)
-            flow.run_all()
-        assert report.table("tiny") == flow.table1()
+        session = TestSession(size=1, seed=2005, num_chains=4, options=fast_options)
+        results = {}
+        for key in "abcde":
+            session.run_scenario(f"table1-{key}")
+            results[key] = session.result_of(f"table1-{key}")
+        assert report.table("tiny") == format_table1(results)
 
 
 class TestCampaignBackends:
@@ -205,12 +206,31 @@ class TestWireDegradedResults:
 
 class TestLegacyRouting:
     def test_run_all_experiments_goes_through_campaign(self, tiny_prepared, cheap_options):
-        with pytest.warns(DeprecationWarning, match="run_all_experiments"):
-            results = run_all_experiments(tiny_prepared, cheap_options, keys=("a", "c"))
-        assert sorted(results) == ["a", "c"]
+        """A one-design campaign over a prepared design == plain session runs."""
+        campaign = Campaign(designs=[tiny_prepared], scenarios=["a", "c"],
+                            options=cheap_options)
+        campaign.run()
+        design = campaign.design_names[0]
+        results = {key: campaign.result_of(design, key) for key in ("a", "c")}
         session = TestSession.from_prepared(tiny_prepared, cheap_options)
         session.run_scenario("table1-a")
         assert (
             results["a"].pattern_count
             == session.result_of("table1-a").pattern_count
         )
+
+
+class TestExecutorResolution:
+    def test_diagnose_rejects_mixing_executor_with_knobs(self, tiny_prepared, cheap_options):
+        campaign = Campaign(designs=[tiny_prepared], scenarios=["a"], options=cheap_options)
+        defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
+        with pytest.raises(ValueError, match="either executor="):
+            campaign.diagnose([defect], backend="threads", executor=Executor())
+        with pytest.raises(ValueError, match="either executor="):
+            campaign.diagnose([defect], max_workers=2, executor=Executor())
+
+    def test_run_takes_keyword_arguments_only(self, fast_options):
+        """``on_cell`` can never bind positionally to a retired knob."""
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        with pytest.raises(TypeError):
+            campaign.run(lambda cell: None)

@@ -17,7 +17,6 @@ from repro.clocking import (
     simple_cpf_procedures,
     stuck_at_procedures,
 )
-from repro.core import experiment_setup
 from repro.logic import Logic
 
 
@@ -90,11 +89,11 @@ class TestScenarioSpec:
 
 
 class TestBuiltinSetupsMatchLegacy:
-    """Every built-in scenario's TestSetup equals the legacy experiment_setup.
+    """Every built-in scenario's TestSetup equals the original experiments.
 
     The expected values replicate the retired hand-coded ``if/elif`` ladder
-    literally, so this anchors both the registry specs and the
-    ``experiment_setup`` shim against the original behaviour.
+    literally, so this anchors both the registry specs and the letter
+    accessor :func:`table1_scenario` against the original behaviour.
     """
 
     def _expected_procedures(self, key, prepared):
@@ -135,8 +134,9 @@ class TestBuiltinSetupsMatchLegacy:
 
     @pytest.mark.parametrize("key", TABLE1_KEYS)
     def test_shim_matches_registry(self, key, tiny_prepared, cheap_options):
-        via_shim = experiment_setup(key, tiny_prepared, cheap_options)
-        via_api = table1_scenario(key).build_setup(tiny_prepared, cheap_options)
+        """The letter accessor and the registry name build the same setup."""
+        via_shim = table1_scenario(key.upper()).build_setup(tiny_prepared, cheap_options)
+        via_api = get_scenario(f"table1-{key}").build_setup(tiny_prepared, cheap_options)
         assert via_shim.name == via_api.name
         assert [p.name for p in via_shim.procedures] == [p.name for p in via_api.procedures]
         assert via_shim.observe_pos == via_api.observe_pos
@@ -145,8 +145,8 @@ class TestBuiltinSetupsMatchLegacy:
         assert via_shim.constrain_scan_enable == via_api.constrain_scan_enable
 
     def test_unknown_experiment_key_raises(self, tiny_prepared):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            experiment_setup("z", tiny_prepared)
+        with pytest.raises(KeyError, match=r"unknown experiment 'z' \(expected one of"):
+            table1_scenario("z")
 
 
 class TestTable1Accessors:

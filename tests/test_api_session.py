@@ -1,10 +1,13 @@
-"""Tests for TestSession, the stage pipeline, RunReport, and the legacy shims."""
+"""Tests for TestSession, the stage pipeline and RunReport."""
+
+import warnings
 
 import pytest
 
-from repro.api import RunReport, TestSession, scenarios
+from repro.api import Campaign, RunReport, TestSession, scenarios
 from repro.atpg import AtpgOptions
-from repro.core import DelayTestFlow, format_table1, instrument_soc
+from repro.core import format_table1, instrument_soc
+from repro.runtime import Executor
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +32,29 @@ def table1_session(fast_options):
 
 
 @pytest.fixture(scope="module")
-def legacy_flow(fast_options):
-    """The same five experiments through the deprecated DelayTestFlow (serial)."""
-    flow = DelayTestFlow(size=1, seed=17, num_chains=4, options=fast_options)
-    flow.run_all()
-    return flow
+def golden_session(fast_options):
+    """The same five experiments, one registry scenario at a time (serial)."""
+    session = TestSession(size=1, seed=17, num_chains=4, options=fast_options)
+    results = {}
+    for spec in scenarios.table1():
+        session.run_scenario(spec)
+        results[spec.legacy_key] = session.result_of(spec.name)
+    return session, results
 
 
 class TestTable1Golden:
-    def test_report_table_matches_legacy_byte_for_byte(self, table1_session, legacy_flow):
+    def test_report_table_matches_legacy_byte_for_byte(self, table1_session, golden_session):
+        """The parallel report renders the golden ``format_table1`` table."""
         _, report = table1_session
-        assert report.table() == legacy_flow.table1()
+        _, results = golden_session
+        assert report.table() == format_table1(results)
 
-    def test_parallel_results_match_serial_legacy_run(self, table1_session, legacy_flow):
-        """The parallel session and the serial legacy flow agree per experiment."""
+    def test_parallel_results_match_serial_legacy_run(self, table1_session, golden_session):
+        """The parallel session and the serial golden runs agree per experiment."""
         session, report = table1_session
+        _, results = golden_session
         for key in "abcde":
-            serial = legacy_flow.results[key]
+            serial = results[key]
             outcome = report[key]
             assert outcome.test_coverage == serial.coverage.test_coverage
             assert outcome.pattern_count == serial.pattern_count
@@ -281,11 +290,62 @@ class TestInstrumentMemoisation:
 
 
 class TestLegacyFlowShim:
-    def test_run_all_returns_only_requested_keys(self, legacy_flow):
-        subset = legacy_flow.run_all(keys=("a", "c"))
-        assert set(subset) == {"a", "c"}  # no stale cached keys leak out
-        assert subset["a"] is legacy_flow.results["a"]
+    """Per-experiment runs of the Table 1 scenarios through a session."""
 
-    def test_run_experiment_caches(self, legacy_flow):
-        again = legacy_flow.run_experiment("a")
-        assert legacy_flow.results["a"] is again
+    def test_run_all_returns_only_requested_keys(self, golden_session, fast_options):
+        golden, results = golden_session
+        report = (
+            TestSession.from_prepared(golden.prepared, fast_options)
+            .add_scenarios("table1-a", "table1-c")
+            .run()
+        )
+        assert report.scenarios() == ["table1-a", "table1-c"]
+        for key in "ac":
+            assert report[key].pattern_count == results[key].pattern_count
+
+    def test_run_experiment_caches(self, golden_session):
+        session, results = golden_session
+        assert session.result_of("table1-a") is results["a"]
+
+
+# ---------------------------------------------------------------------------
+# Executor-or-knobs resolution and pool-size validation, shared by the
+# session and campaign front doors.
+# ---------------------------------------------------------------------------
+def test_executor_argument_paths_do_not_warn(tiny_prepared, cheap_options):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        TestSession.from_prepared(tiny_prepared, cheap_options).add_scenario(
+            "table1-a"
+        ).run(executor=Executor())
+        Campaign(designs=[tiny_prepared], scenarios=["a"], options=cheap_options).run(
+            executor=Executor()
+        )
+
+
+def test_run_rejects_mixing_executor_with_knobs(tiny_prepared, cheap_options):
+    session = TestSession.from_prepared(tiny_prepared, cheap_options).add_scenario(
+        "table1-a"
+    )
+    with pytest.raises(ValueError, match="either executor="):
+        session.run(backend="threads", executor=Executor())
+    with pytest.raises(ValueError, match="either executor="):
+        session.run(max_workers=2, executor=Executor())
+
+
+def test_with_backend_rejects_non_positive_pool_knobs(tiny_prepared, cheap_options):
+    """Session, campaign and executor share one validation message."""
+    session = TestSession.from_prepared(tiny_prepared, cheap_options)
+    campaign = Campaign(designs=[tiny_prepared], scenarios=["a"], options=cheap_options)
+    expectation = r"shards must be a positive integer \(got 0\)"
+    with pytest.raises(ValueError, match=expectation):
+        session.with_backend("processes", shards=0)
+    with pytest.raises(ValueError, match=expectation):
+        campaign.with_backend("processes", shards=0)
+    expectation = r"workers must be a positive integer \(got -2\)"
+    with pytest.raises(ValueError, match=expectation):
+        session.with_backend("threads", workers=-2)
+    with pytest.raises(ValueError, match=expectation):
+        campaign.with_backend("threads", workers=-2)
+    with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
+        Executor(backend="processes", max_workers=0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -213,6 +215,58 @@ class TestResultCache:
         payload_path = tmp_path / "cd" / ("cd" * 32 + ".pkl")
         payload_path.write_bytes(b"not a pickle")
         assert cache.get("cd" * 32) is None
+
+    def test_damaged_entry_reads_as_original_or_miss(self, tmp_path):
+        """Every single-bit flip and every truncation of a stored entry reads
+        back as the original value or a miss — never a wrong value, never
+        an exception."""
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        value = {"planes": [1, 2, 3], "label": "unit", "ratio": 0.5}
+        assert cache.put(key, value)
+        payload_path = tmp_path / "ab" / (key + ".pkl")
+        pristine = payload_path.read_bytes()
+        damaged = [pristine[:length] for length in range(len(pristine))]
+        for bit in range(len(pristine) * 8):
+            flipped = bytearray(pristine)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            payload_path.write_bytes(data)
+            loaded = cache.get(key)
+            assert loaded is None or loaded == value, data
+        payload_path.write_bytes(pristine)
+        assert cache.get(key) == value
+        assert list(payload_path.parent.glob("*.tmp")) == []
+
+    def test_concurrent_writers_of_one_key_never_corrupt_it(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "9a" * 32
+        values = [list(range(writer, writer + 200)) for writer in range(6)]
+        failures = []
+
+        def hammer(value):
+            for _ in range(20):
+                if not cache.put(key, value):
+                    failures.append("put")
+                loaded = cache.get(key)
+                if loaded not in values:
+                    failures.append(loaded)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(v,)) for v in values]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert cache.get(key) in values
+        assert list((tmp_path / "9a").glob("*.tmp")) == []
 
     def test_unpicklable_payload_is_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -9,17 +9,16 @@ claim-evaluation/reporting code is tested on synthetic results.
 
 import pytest
 
+from repro.api import TestSession
+from repro.api.scenarios import TABLE1_DESCRIPTIONS, table1_scenario
 from repro.atpg import AtpgOptions
 from repro.atpg.compaction import CompactionStats
 from repro.atpg.generator import AtpgResult, AtpgStatistics
 from repro.core import (
-    EXPERIMENT_DESCRIPTIONS,
     compare_with_paper,
-    experiment_setup,
     format_comparison,
     format_table1,
     results_as_records,
-    run_experiment,
 )
 from repro.faults import FaultList
 from repro.patterns import PatternSet, format_table, shape_checks, table_rows
@@ -28,20 +27,20 @@ from repro.faults.fault_list import CoverageReport
 
 class TestExperimentSetups:
     def test_experiment_a_is_slow_and_observable(self, tiny_prepared):
-        setup = experiment_setup("a", tiny_prepared)
+        setup = table1_scenario("a").build_setup(tiny_prepared)
         assert setup.observe_pos
         assert not any(p.is_at_speed for p in setup.procedures)
         assert setup.max_pulses == 2
 
     def test_experiment_b_is_unconstrained_reference(self, tiny_prepared):
-        setup = experiment_setup("b", tiny_prepared)
+        setup = table1_scenario("b").build_setup(tiny_prepared)
         assert setup.observe_pos and not setup.hold_pis
         assert not setup.constrain_scan_enable
         assert setup.max_pulses == 4
         assert "tc" in setup.all_domains
 
     def test_experiment_c_is_simple_cpf(self, tiny_prepared):
-        setup = experiment_setup("c", tiny_prepared)
+        setup = table1_scenario("c").build_setup(tiny_prepared)
         assert not setup.observe_pos and setup.hold_pis
         assert setup.constrain_scan_enable
         assert setup.max_pulses == 2
@@ -52,13 +51,13 @@ class TestExperimentSetups:
         assert all(len(p.all_domains) == 1 for p in setup.procedures)
 
     def test_experiment_d_enhanced_cpf(self, tiny_prepared):
-        setup = experiment_setup("d", tiny_prepared)
+        setup = table1_scenario("d").build_setup(tiny_prepared)
         assert setup.max_pulses == 4
         assert setup.allows_inter_domain
         assert not setup.observe_pos
 
     def test_experiment_e_constrained_external(self, tiny_prepared):
-        setup = experiment_setup("e", tiny_prepared)
+        setup = table1_scenario("e").build_setup(tiny_prepared)
         assert not setup.observe_pos and setup.hold_pis
         assert setup.constrain_scan_enable
         # Both functional domains pulse together in every procedure.
@@ -67,11 +66,11 @@ class TestExperimentSetups:
 
     def test_unknown_experiment_rejected(self, tiny_prepared):
         with pytest.raises(KeyError):
-            experiment_setup("z", tiny_prepared)
+            table1_scenario("z")
 
     def test_reset_constrained_everywhere(self, tiny_prepared):
         for key in "abcde":
-            setup = experiment_setup(key, tiny_prepared)
+            setup = table1_scenario(key).build_setup(tiny_prepared)
             assert tiny_prepared.soc.reset_net in setup.pin_constraints
 
 
@@ -79,8 +78,10 @@ class TestReducedExperimentRun:
     def test_experiments_a_and_c_run_on_tiny_soc(self, tiny_prepared):
         options = AtpgOptions(random_pattern_batches=2, patterns_per_batch=32,
                               backtrack_limit=15)
-        result_a = run_experiment("a", tiny_prepared, options)
-        result_c = run_experiment("c", tiny_prepared, options)
+        session = TestSession.from_prepared(tiny_prepared, options)
+        session.add_scenarios("table1-a", "table1-c").run()
+        result_a = session.result_of("table1-a")
+        result_c = session.result_of("table1-c")
         assert result_a.coverage.detected > 0
         assert result_c.coverage.detected > 0
         # The constrained on-chip configuration cannot beat the slow external one.
@@ -156,8 +157,8 @@ class TestReporting:
         results = self.make_results()
         table = format_table1(results)
         for key in "abcde":
-            assert EXPERIMENT_DESCRIPTIONS[key][:20] in table
-        rows = table_rows(results, EXPERIMENT_DESCRIPTIONS)
+            assert TABLE1_DESCRIPTIONS[key][:20] in table
+        rows = table_rows(results, TABLE1_DESCRIPTIONS)
         assert len(rows) == 5
         assert "Table 1" in format_table(rows)
 

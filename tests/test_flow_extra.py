@@ -1,33 +1,41 @@
-"""Tests for the DelayTestFlow wrapper and figure-level waveform helpers."""
+"""Tests for the Table 1 flow through a session and figure-level waveform helpers."""
 
 import pytest
 
+from repro.api import TestSession
 from repro.atpg import AtpgOptions
 from repro.clocking import figure2_waveform
-from repro.core import DelayTestFlow
+from repro.core import format_table1
 
 
 @pytest.fixture(scope="module")
 def quick_flow():
     options = AtpgOptions(random_pattern_batches=2, patterns_per_batch=24, backtrack_limit=10)
-    return DelayTestFlow(size=1, seed=17, num_chains=4, options=options)
+    return TestSession(size=1, seed=17, num_chains=4, options=options)
 
 
 class TestDelayTestFlow:
+    """The Table 1 flow driven scenario by scenario through a session."""
+
     def test_run_single_experiment_and_cache(self, quick_flow):
-        first = quick_flow.run_experiment("a")
-        assert quick_flow.results["a"] is first
+        quick_flow.run_scenario("table1-a")
+        first = quick_flow.result_of("table1-a")
+        assert quick_flow.result_of("table1-a") is first
         assert first.coverage.detected > 0
 
-    def test_run_all_reuses_cached_results(self, quick_flow):
-        cached = quick_flow.results.get("a")
-        results = quick_flow.run_all(keys=("a", "c"))
-        assert results["a"] is cached or cached is None
-        assert set(results) >= {"a", "c"}
+    def test_run_all_reuses_cached_results(self, quick_flow, tmp_path):
+        names = ("table1-a", "table1-c")
+        quick_flow.with_cache(tmp_path / "cache").add_scenarios(*names)
+        cold = quick_flow.run()
+        assert [quick_flow.artifacts[n].cache_info["hit"] for n in names] == [False, False]
+        warm = quick_flow.run()
+        assert [quick_flow.artifacts[n].cache_info["hit"] for n in names] == [True, True]
+        assert warm.same_results(cold)
 
     def test_table_formatting_from_flow(self, quick_flow):
-        quick_flow.run_all(keys=("a", "c"))
-        table = quick_flow.table1()
+        for key in "ac":
+            quick_flow.run_scenario(f"table1-{key}")
+        table = format_table1({key: quick_flow.result_of(f"table1-{key}") for key in "ac"})
         assert "Stuck-at" in table
         assert "%" in table
 
